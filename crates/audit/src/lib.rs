@@ -19,12 +19,15 @@
 //!   built from the log, with ancestry/taint queries and DOT export;
 //! * [`SegmentStore`] — crash-safe on-disk segments for retained-out records, with
 //!   torn-write recovery ([`SegmentStore::recover`]) and pluggable IO fault injection,
-//!   so the tamper-evident chain survives pruning *and* process crashes.
+//!   so the tamper-evident chain survives pruning *and* process crashes;
+//! * [`codec`] — the one canonical binary record encoding, hashed for the chain,
+//!   framed on disk and decoded by recovery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod codec;
 pub mod event;
 pub mod log;
 pub mod provenance;

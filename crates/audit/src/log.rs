@@ -6,13 +6,17 @@
 //! Challenge 6 asks "when can logs safely be pruned? Can logs be offloaded to others for
 //! distributed audit?" — [`AuditLog::prune_before`] and [`AuditLog::offload`] model
 //! both, preserving chain verifiability across the cut by retaining the anchor hash.
+//!
+//! A record's hash is FNV-1a 64 over its canonical binary encoding ([`crate::codec`]),
+//! which covers the record's id, timestamp, authority, event and `previous_hash`. Both
+//! the encoding and the hash are specified byte for byte, so a chain written by one
+//! build verifies under any other toolchain or platform.
 
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
 
+use crate::codec;
 use crate::event::{AuditEvent, AuditEventKind, AuditRecord, RecordId};
 
 /// The outcome of verifying the hash chain of a log.
@@ -126,7 +130,7 @@ impl AuditLog {
         let previous_hash = self.records.last().map(|r| r.hash).unwrap_or(self.anchor_hash);
         let id = RecordId(self.next_id);
         self.next_id += 1;
-        let hash = Self::hash_record(id, at_millis, &self.authority, &event, previous_hash);
+        let hash = codec::record_hash(id, at_millis, previous_hash, &self.authority, &event);
         self.records.push(AuditRecord {
             id,
             at_millis,
@@ -136,24 +140,6 @@ impl AuditLog {
             hash,
         });
         id
-    }
-
-    fn hash_record(
-        id: RecordId,
-        at_millis: u64,
-        authority: &str,
-        event: &AuditEvent,
-        previous_hash: u64,
-    ) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        id.0.hash(&mut hasher);
-        at_millis.hash(&mut hasher);
-        authority.hash(&mut hasher);
-        // The event is hashed via its debug representation: deterministic for our types
-        // and independent of serde formatting choices.
-        format!("{event:?}").hash(&mut hasher);
-        previous_hash.hash(&mut hasher);
-        hasher.finish()
     }
 
     /// Number of records currently held.
@@ -204,7 +190,7 @@ impl AuditLog {
                 return ChainVerification::Broken { at: r.id };
             }
             let recomputed =
-                Self::hash_record(r.id, r.at_millis, &r.recorded_by, &r.event, r.previous_hash);
+                codec::record_hash(r.id, r.at_millis, r.previous_hash, &r.recorded_by, &r.event);
             if recomputed != r.hash {
                 return ChainVerification::Broken { at: r.id };
             }

@@ -23,11 +23,19 @@
 //! │ frame 0                                                      │
 //! │   len      u32 LE         4 bytes  (payload length)          │
 //! │   checksum u64 LE         8 bytes  (FNV-1a 64 of payload)    │
-//! │   payload  len bytes      (JSON-serialised [`AuditRecord`])  │
+//! │   payload  len bytes      record body ‖ record hash u64 LE   │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ frame 1 … frame N                                            │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
+//!
+//! The payload is the record's canonical encoding ([`crate::codec::encode_record`]):
+//! the very bytes the chain hash is computed over, followed by that hash. This is
+//! format version 2; version 1 stored JSON payloads. Recovery never rewrites a segment
+//! of another version: it reports it and stops there, leaving the file as evidence.
+//!
+//! [`SegmentStore::append_batch`] encodes a whole batch into one buffer and issues one
+//! `write` per segment it touches; nothing stays buffered after the call returns.
 //!
 //! # Crash model and recovery
 //!
@@ -49,29 +57,20 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use crate::codec::{decode_record, encode_record, fnv1a64};
 use crate::event::AuditRecord;
 use crate::log::{AuditLog, ChainVerification};
 
 /// Magic bytes opening every segment file.
 const MAGIC: [u8; 4] = *b"LGAS";
-/// On-disk format version.
-const VERSION: u32 = 1;
+/// On-disk format version: 2 = canonical binary payloads (1 = JSON payloads).
+const VERSION: u32 = 2;
 /// Fixed header length: magic + version + sequence + anchor.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
 /// Per-frame prefix length: payload length + checksum.
 const FRAME_PREFIX_LEN: usize = 4 + 8;
 /// Upper bound on a frame payload; anything larger is treated as corruption.
 const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
-
-/// FNV-1a 64 over the frame payload.
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The IO operation a [`FaultHook`] is consulted about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -223,6 +222,9 @@ pub struct SegmentStore {
     wedged: Option<String>,
     stats: SegmentStats,
     hook: Option<FaultHook>,
+    /// Encoding scratch for [`SegmentStore::append_batch`]: emptied on every call, so
+    /// only its capacity outlives one.
+    frames: Vec<u8>,
 }
 
 impl fmt::Debug for SegmentStore {
@@ -289,6 +291,7 @@ impl SegmentStore {
             wedged: None,
             stats: SegmentStats::default(),
             hook: None,
+            frames: Vec::new(),
         })
     }
 
@@ -380,70 +383,105 @@ impl SegmentStore {
         }
     }
 
-    /// Appends one record frame. Returns `true` when the record reached the segment
-    /// file, `false` when the store is (or became) wedged — the drop is counted in
-    /// [`SegmentStats::records_dropped`], never silent.
+    /// Appends one record frame: a one-record [`Self::append_batch`]. Returns `true`
+    /// when the record reached the segment file, `false` when the store is (or became)
+    /// wedged — the drop is counted in [`SegmentStats::records_dropped`], never silent.
     pub fn append(&mut self, record: &AuditRecord) -> bool {
-        if self.wedged.is_some() {
-            self.stats.records_dropped += 1;
-            return false;
-        }
-        if self.file.is_none() {
-            self.open_segment();
-            if self.wedged.is_some() {
-                self.stats.records_dropped += 1;
-                return false;
-            }
-        }
-        let payload = match serde_json::to_string(record) {
-            Ok(json) => json.into_bytes(),
-            Err(err) => {
-                self.wedge(format!("serialising record {}: {err}", record.id));
-                self.stats.records_dropped += 1;
-                return false;
-            }
-        };
-        let mut frame = Vec::with_capacity(FRAME_PREFIX_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&checksum(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        self.append_batch(std::slice::from_ref(record)) == 1
+    }
 
-        match self.fault(IoOp::Write) {
-            Some(IoFault::Delay(delay)) => std::thread::sleep(delay),
-            Some(IoFault::ShortWrite) => {
-                // Tear the frame: write a strict prefix, then wedge. Disk now ends in
-                // a torn tail for recovery to truncate.
-                let torn = &frame[..frame.len() / 2];
-                if let Some(file) = self.file.as_mut() {
-                    let _ = file.write_all(torn);
-                    let _ = file.sync_all();
+    /// Appends `records` in chain order, rotating at `max_segment_records`. The frames
+    /// bound for one segment are encoded into one buffer and written with one
+    /// `write_all`. Returns how many records reached a segment file; the rest are
+    /// counted in [`SegmentStats::records_dropped`].
+    ///
+    /// The [`FaultHook`] is consulted once per frame ([`IoOp::Write`]). A
+    /// [`IoFault::ShortWrite`] writes the earlier frames plus half of the faulted
+    /// frame, and an [`IoFault::Error`] writes only the earlier frames; either then
+    /// wedges the store.
+    pub fn append_batch(&mut self, records: &[AuditRecord]) -> usize {
+        let mut persisted = 0;
+        while persisted < records.len() && self.wedged.is_none() {
+            if self.file.is_none() {
+                self.open_segment();
+                if self.wedged.is_some() {
+                    break;
                 }
-                self.wedge("short write injected at segment append".into());
-                self.stats.records_dropped += 1;
-                return false;
             }
-            Some(IoFault::Error) => {
-                self.wedge("io error injected at segment append".into());
-                self.stats.records_dropped += 1;
-                return false;
+            let room = self.max_segment_records - self.records_in_segment;
+            let chunk = &records[persisted..records.len().min(persisted + room)];
+            let written = self.write_frames(chunk);
+            persisted += written;
+            if written < chunk.len() {
+                break;
             }
+            if self.records_in_segment >= self.max_segment_records {
+                self.rotate();
+            }
+        }
+        self.stats.records_dropped += (records.len() - persisted) as u64;
+        persisted
+    }
+
+    /// Writes `records` (which fit in the open segment) with one `write_all`, applying
+    /// any injected write fault at its frame. Returns how many frames reached the file.
+    fn write_frames(&mut self, records: &[AuditRecord]) -> usize {
+        let mut frames = std::mem::take(&mut self.frames);
+        frames.clear();
+        let mut fault = None;
+        let mut complete = 0;
+        let mut complete_bytes = 0;
+        for record in records {
+            let start = frames.len();
+            frames.extend_from_slice(&[0; FRAME_PREFIX_LEN]);
+            encode_record(record, &mut frames);
+            let payload = &frames[start + FRAME_PREFIX_LEN..];
+            let len = (payload.len() as u32).to_le_bytes();
+            let checksum = fnv1a64(payload).to_le_bytes();
+            frames[start..start + 4].copy_from_slice(&len);
+            frames[start + 4..start + FRAME_PREFIX_LEN].copy_from_slice(&checksum);
+            match self.fault(IoOp::Write) {
+                Some(IoFault::Delay(delay)) => std::thread::sleep(delay),
+                Some(kind) => {
+                    // A short write keeps a strict prefix of this frame, so the disk
+                    // ends in a torn tail for recovery to truncate; an error keeps
+                    // none of it.
+                    let torn =
+                        if kind == IoFault::ShortWrite { (frames.len() - start) / 2 } else { 0 };
+                    frames.truncate(start + torn);
+                    fault = Some(kind);
+                    break;
+                }
+                None => {}
+            }
+            complete += 1;
+            complete_bytes = frames.len();
+        }
+        let file = self.file.as_mut().expect("segment open");
+        let mut result = file.write_all(&frames);
+        if fault == Some(IoFault::ShortWrite) {
+            result = result.and_then(|()| file.sync_all());
+        }
+        self.frames = frames;
+        if let Err(err) = result {
+            self.wedge(format!("appending records from {}: {err}", records[0].id));
+            return 0;
+        }
+        if complete > 0 {
+            self.stats.records_persisted += complete as u64;
+            self.stats.bytes_written += complete_bytes as u64;
+            self.stats.unsynced_bytes += complete_bytes as u64;
+            self.head_hash = records[complete - 1].hash;
+            self.records_in_segment += complete;
+        }
+        match fault {
+            Some(IoFault::ShortWrite) => {
+                self.wedge("short write injected at segment append".into())
+            }
+            Some(_) => self.wedge("io error injected at segment append".into()),
             None => {}
         }
-        let result = self.file.as_mut().expect("segment open").write_all(&frame);
-        if let Err(err) = result {
-            self.wedge(format!("appending record {}: {err}", record.id));
-            self.stats.records_dropped += 1;
-            return false;
-        }
-        self.stats.records_persisted += 1;
-        self.stats.bytes_written += frame.len() as u64;
-        self.stats.unsynced_bytes += frame.len() as u64;
-        self.head_hash = record.hash;
-        self.records_in_segment += 1;
-        if self.records_in_segment >= self.max_segment_records {
-            self.rotate();
-        }
-        true
+        complete
     }
 
     /// Fsyncs the current segment. Returns `true` when everything written is now
@@ -548,9 +586,10 @@ impl SegmentStore {
         let mut first = true;
         let mut stopped_at: Option<u64> = None;
         for (sequence, path) in files {
-            if let Some(torn_seq) = stopped_at {
-                // Everything after a torn segment is chain-orphaned; report it, do
-                // not silently skip (files are left untouched as evidence).
+            if let Some(stop_seq) = stopped_at {
+                // Everything after the segment the scan stopped at is chain-orphaned;
+                // report it, do not silently skip (files are left untouched as
+                // evidence).
                 let bytes = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
                 report.truncations.push(Truncation {
                     sequence,
@@ -558,7 +597,7 @@ impl SegmentStore {
                     offset: 0,
                     bytes_dropped: bytes,
                     records_recovered_before: report.records.len(),
-                    reason: format!("unreachable: segment {torn_seq} has a torn tail"),
+                    reason: format!("unreachable: the scan stopped at segment {stop_seq}"),
                 });
                 continue;
             }
@@ -579,7 +618,22 @@ impl SegmentStore {
             } else if bytes[0..4] != MAGIC {
                 truncate_to = Some((0, "bad magic".into()));
             } else if u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != VERSION {
-                truncate_to = Some((0, "unsupported version".into()));
+                // A segment of another format version holds records this build cannot
+                // decode, not damage: keep the file untouched as evidence and stop,
+                // since nothing after it can be chained without its records.
+                let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+                report.truncations.push(Truncation {
+                    sequence,
+                    path,
+                    offset: 0,
+                    bytes_dropped: bytes.len() as u64,
+                    records_recovered_before: report.records.len(),
+                    reason: format!(
+                        "segment format version {version}, this build reads version {VERSION}"
+                    ),
+                });
+                stopped_at = Some(sequence);
+                continue;
             } else if u64::from_le_bytes(bytes[8..16].try_into().unwrap()) != sequence {
                 truncate_to = Some((0, "sequence mismatch with filename".into()));
             } else {
@@ -628,14 +682,11 @@ impl SegmentStore {
                             u64::from_le_bytes(bytes[offset + 4..offset + 12].try_into().unwrap());
                         let payload =
                             &bytes[offset + FRAME_PREFIX_LEN..offset + FRAME_PREFIX_LEN + len];
-                        if checksum(payload) != expected {
+                        if fnv1a64(payload) != expected {
                             truncate_to = Some((offset as u64, "frame checksum mismatch".into()));
                             break;
                         }
-                        let record: AuditRecord = match std::str::from_utf8(payload)
-                            .ok()
-                            .and_then(|json| serde_json::from_str(json).ok())
-                        {
+                        let record = match decode_record(payload) {
                             Some(record) => record,
                             None => {
                                 truncate_to = Some((offset as u64, "frame decode failure".into()));
@@ -685,7 +736,7 @@ impl SegmentStore {
                         stopped_at = Some(sequence);
                     }
                     // Header-level failures (offset 0: a rotation torn mid-header,
-                    // bad magic/version) mean the segment never held a record the
+                    // bad magic, wrong sequence) mean the segment never held a record the
                     // chain could depend on — the file becomes a zero-length
                     // tombstone and the scan continues: a later incarnation's
                     // segments still chain from `head` and must not be orphaned.
@@ -730,10 +781,11 @@ pub struct Truncation {
     /// Path of the affected segment file.
     pub path: PathBuf,
     /// Byte offset the file was truncated to (length of the surviving clean prefix).
-    /// 0 covers three shapes: a header-level failure (the file becomes a zero-length
-    /// tombstone and the scan continues), an anchor mismatch, or a segment that is
-    /// unreachable behind a torn tail (both of the latter are reported but left
-    /// untouched as evidence, and stop the scan).
+    /// 0 covers four shapes: a header-level failure (the file becomes a zero-length
+    /// tombstone and the scan continues), an anchor mismatch, a segment of another
+    /// format version, or a segment that is unreachable behind one of those or a torn
+    /// tail (all but the first are reported but left untouched as evidence, and stop
+    /// the scan).
     pub offset: u64,
     /// Bytes discarded (or unreachable) past the clean prefix.
     pub bytes_dropped: u64,
@@ -1009,6 +1061,129 @@ mod tests {
         let report = SegmentStore::recover(&dir).unwrap();
         assert!(report.is_clean(), "truncations: {:?}", report.truncations);
         assert_eq!(report.records, records);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Installs a hook that returns `fault` for the `nth` (0-based) frame write.
+    fn fault_at_write(store: &mut SegmentStore, nth: usize, fault: IoFault) {
+        let calls = AtomicUsize::new(0);
+        store.set_fault_hook(Box::new(move |op| {
+            (op == IoOp::Write && calls.fetch_add(1, Ordering::Relaxed) == nth).then_some(fault)
+        }));
+    }
+
+    #[test]
+    fn batch_across_rotations_matches_single_appends() {
+        let records = sample_records(10);
+        let single_dir = temp_dir("single");
+        let mut single = SegmentStore::create(&single_dir, 0, 3).unwrap();
+        for r in &records {
+            assert!(single.append(r));
+        }
+        assert!(single.seal());
+
+        let batch_dir = temp_dir("batch");
+        let mut batch = SegmentStore::create(&batch_dir, 0, 3).unwrap();
+        assert_eq!(batch.append_batch(&records[..7]), 7);
+        assert_eq!(batch.append_batch(&records[7..]), 3);
+        assert!(batch.seal());
+        assert_eq!(batch.stats().records_persisted, 10);
+        assert_eq!(batch.stats().segments_written, 4);
+        assert_eq!(batch.stats().bytes_written, single.stats().bytes_written);
+        assert_eq!(batch.head_hash(), records[9].hash);
+
+        for seq in 0..4 {
+            let name = segment_file_name(seq);
+            assert_eq!(
+                std::fs::read(batch_dir.join(&name)).unwrap(),
+                std::fs::read(single_dir.join(&name)).unwrap(),
+                "{name}"
+            );
+        }
+        let report = SegmentStore::recover(&batch_dir).unwrap();
+        assert!(report.is_clean(), "truncations: {:?}", report.truncations);
+        assert_eq!(report.records, records);
+        std::fs::remove_dir_all(&single_dir).unwrap();
+        std::fs::remove_dir_all(&batch_dir).unwrap();
+    }
+
+    #[test]
+    fn short_write_mid_batch_keeps_the_earlier_frames() {
+        let dir = temp_dir("batchshort");
+        let records = sample_records(6);
+        let mut store = SegmentStore::create(&dir, 0, 100).unwrap();
+        fault_at_write(&mut store, 2, IoFault::ShortWrite);
+        assert_eq!(store.append_batch(&records), 2);
+        assert!(store.is_wedged());
+        let stats = store.stats();
+        assert_eq!((stats.records_persisted, stats.records_dropped), (2, 4));
+        assert_eq!(store.head_hash(), records[1].hash);
+        // Only the header and the two complete frames count as written; the torn
+        // half-frame beyond them does not.
+        let on_disk = std::fs::metadata(dir.join(segment_file_name(0))).unwrap().len();
+        assert!(stats.bytes_written < on_disk, "{} vs {on_disk}", stats.bytes_written);
+
+        let report = SegmentStore::recover(&dir).unwrap();
+        assert_eq!(report.records, records[..2].to_vec());
+        assert_eq!(report.truncations.len(), 1);
+        assert_eq!(report.truncations[0].offset, stats.bytes_written);
+        assert!(report.truncations[0].reason.contains("short frame"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn error_mid_batch_keeps_the_earlier_frames() {
+        let dir = temp_dir("batcherror");
+        let records = sample_records(6);
+        let mut store = SegmentStore::create(&dir, 0, 100).unwrap();
+        fault_at_write(&mut store, 3, IoFault::Error);
+        assert_eq!(store.append_batch(&records), 3);
+        assert!(store.wedged_cause().unwrap().contains("io error"));
+        assert_eq!(store.stats().records_dropped, 3);
+        // A wedged store drops whole later batches, counted.
+        assert_eq!(store.append_batch(&records), 0);
+        assert_eq!(store.stats().records_dropped, 9);
+
+        let report = SegmentStore::recover(&dir).unwrap();
+        assert!(report.is_clean(), "truncations: {:?}", report.truncations);
+        assert_eq!(report.records, records[..3].to_vec());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn segment_of_another_version_is_kept_untouched_and_stops_the_scan() {
+        let dir = temp_dir("version");
+        // Segment 0 as the JSON-payload format (version 1) wrote it; segment 1 is a
+        // current segment written after it.
+        let payload = br#"{"id":0,"at_millis":0,"recorded_by":"shard-0"}"#;
+        let mut v1 = encode_header(0, 0).to_vec();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        v1.extend_from_slice(payload);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(segment_file_name(0)), &v1).unwrap();
+        let mut store = SegmentStore::create(&dir, 0, 100).unwrap();
+        assert_eq!(store.append_batch(&sample_records(2)), 2);
+        assert!(store.seal());
+        let v2 = std::fs::read(dir.join(segment_file_name(1))).unwrap();
+
+        for _ in 0..2 {
+            let report = SegmentStore::recover(&dir).unwrap();
+            assert!(report.records.is_empty());
+            assert_eq!(report.truncations.len(), 2, "{:?}", report.truncations);
+            let kept = &report.truncations[0];
+            assert_eq!((kept.sequence, kept.offset), (0, 0));
+            assert_eq!(kept.bytes_dropped, v1.len() as u64);
+            assert!(
+                kept.reason.contains("version 1") && kept.reason.contains("version 2"),
+                "{}",
+                kept.reason
+            );
+            assert!(report.truncations[1].reason.contains("unreachable"));
+            assert_eq!(std::fs::read(dir.join(segment_file_name(0))).unwrap(), v1);
+            assert_eq!(std::fs::read(dir.join(segment_file_name(1))).unwrap(), v2);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -9,6 +9,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use legaliot_audit::{AuditEvent, AuditLog, AuditRecord, SegmentStore};
+use legaliot_ifc::{can_flow, SecurityContext};
 use proptest::prelude::*;
 
 /// Segment header length (magic + version + sequence + anchor), mirrored from
@@ -32,6 +33,54 @@ fn sample_records(n: usize) -> Vec<AuditRecord> {
             AuditEvent::PolicyFired { policy: format!("p{i}"), trigger: "t".into(), actions: i },
             i as u64,
         );
+    }
+    log.records().to_vec()
+}
+
+/// A chain cycling through the variants a durable dataplane writes most:
+/// allowed and denied `FlowChecked` (tagged contexts), `MessageQuenched`,
+/// `FlowSummary` and `DeliveryLost`.
+fn mixed_records(n: usize) -> Vec<AuditRecord> {
+    let medical = SecurityContext::from_names(["medical", "nhs:ann"], ["hosp-dev"]);
+    let public = SecurityContext::public();
+    let mut log = AuditLog::new("shard-0");
+    for i in 0..n {
+        let (source, destination) = (format!("sensor-{i}"), "analyser".to_string());
+        let event = match i % 5 {
+            0 | 1 => {
+                let to = if i % 5 == 0 { &medical } else { &public };
+                AuditEvent::FlowChecked {
+                    source,
+                    destination,
+                    source_context: medical.clone(),
+                    destination_context: to.clone(),
+                    decision: can_flow(&medical, to),
+                    data_item: (i % 5 == 0).then(|| format!("reading-{i}")),
+                }
+            }
+            2 => AuditEvent::MessageQuenched {
+                source,
+                destination,
+                message_type: "vitals".into(),
+                attributes: vec!["detail".into(), "subject-id".into()],
+            },
+            3 => AuditEvent::FlowSummary {
+                source,
+                destination,
+                allowed: 40 + i as u64,
+                denied: 1,
+                window_start_millis: 0,
+                window_end_millis: 1_000 * i as u64,
+            },
+            _ => AuditEvent::DeliveryLost {
+                source,
+                destination,
+                message_type: None,
+                lost: 1,
+                cause: "shard worker panicked".into(),
+            },
+        };
+        log.record(event, 1_700_000_000_000 + i as u64);
     }
     log.records().to_vec()
 }
@@ -159,6 +208,38 @@ fn every_single_bit_corruption_recovers_a_verified_prefix() {
         assert!(truncations > 0, "corruption must be reported {ctx}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The cut and corruption corpora over mixed-variant segments. With 4 records
+/// per segment, the final segment of 8 records holds `DeliveryLost`, allowed
+/// and denied `FlowChecked` and `MessageQuenched`; that of 12 holds
+/// `FlowSummary`, `DeliveryLost` and both `FlowChecked` shapes.
+#[test]
+fn mixed_variant_segments_recover_a_verified_prefix() {
+    for n in [8, 12] {
+        let dir = temp_dir("mixed");
+        let records = mixed_records(n);
+        let (last, pristine, earlier) = build_corpus(&dir, &records);
+        let boundaries = clean_boundaries(&pristine);
+
+        for cut in 0..=pristine.len() {
+            let ctx = format!("[n={n} cut={cut} of {}]", pristine.len());
+            let expected = earlier + frames_before(&boundaries, cut);
+            let truncations =
+                recover_and_check(&dir, &last, &pristine[..cut], &records, expected, &ctx);
+            let torn = cut != 0 && !boundaries.contains(&cut);
+            assert_eq!(truncations > 0, torn, "truncation reported iff mid-frame {ctx}");
+        }
+        for offset in HEADER_LEN..pristine.len() {
+            let ctx = format!("[n={n} flip at byte {offset}]");
+            let mut corrupt = pristine.clone();
+            corrupt[offset] ^= 0x10;
+            let expected = earlier + frames_before(&boundaries, offset);
+            let truncations = recover_and_check(&dir, &last, &corrupt, &records, expected, &ctx);
+            assert!(truncations > 0, "corruption must be reported {ctx}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 proptest! {

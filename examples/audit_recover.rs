@@ -1,6 +1,7 @@
 //! Crash-recovery inspector for durable audit segment directories: scans a
 //! shard's on-disk segments, verifies the cross-segment hash chain, and prints
-//! per-segment record counts plus the exact truncation report — every byte the
+//! per-segment record counts with each segment's first and last record
+//! rendered as JSON, plus the exact truncation report — every byte the
 //! recovery discarded, and why.
 //!
 //! Run against a real directory (e.g. one produced by a dataplane configured
@@ -29,6 +30,7 @@ fn recover_and_report(dir: &Path) -> RecoveryReport {
 
     println!("recovered {}", dir.display());
     println!("  segments:");
+    let mut first = 0;
     for segment in &report.segments {
         println!(
             "    seq {:>4}  {:>6} records  {:>8} bytes  {}",
@@ -37,6 +39,15 @@ fn recover_and_report(dir: &Path) -> RecoveryReport {
             segment.bytes,
             segment.path.file_name().and_then(|n| n.to_str()).unwrap_or("?"),
         );
+        // Segments store the binary record encoding; JSON is only a rendering.
+        let records = &report.records[first..first + segment.records];
+        first += segment.records;
+        if let (Some(head), Some(tail)) = (records.first(), records.last()) {
+            println!("      first {}", serde_json::to_string(head).expect("record renders"));
+            if records.len() > 1 {
+                println!("      last  {}", serde_json::to_string(tail).expect("record renders"));
+            }
+        }
     }
     if report.segments.is_empty() {
         println!("    (none)");

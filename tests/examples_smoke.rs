@@ -211,6 +211,10 @@ fn audit_recover_entry_path() {
     assert_eq!(report.truncations.len(), 1);
     assert_eq!(report.segments.len(), 3);
     assert_eq!(report.next_id, 9);
+    // The example renders recovered records as JSON; the rendering is faithful.
+    let json = serde_json::to_string(&report.records[8]).expect("record renders");
+    let parsed: legaliot::audit::AuditRecord = serde_json::from_str(&json).expect("parses");
+    assert_eq!(parsed, report.records[8]);
 
     let again = SegmentStore::recover(&dir).expect("recover repaired dir");
     assert!(again.is_clean());
