@@ -5,9 +5,21 @@
 //! The store is the piece they monitor: every update produces a [`ContextChange`] with a
 //! monotonically increasing version, and subscribers can drain the changes since the
 //! last version they processed.
+//!
+//! # Cost model
+//!
+//! Snapshots share the store's value map: [`ContextStore::snapshot`] and
+//! [`ContextStore::snapshot_if_newer`] cost one reference-count bump, whatever
+//! the store's size. The first [`ContextStore::set`] or [`ContextStore::remove`]
+//! after a snapshot, while that snapshot is still alive, copies the map once
+//! (copy-on-write); later writes edit the store's own copy in place. Total
+//! copying is therefore at most one map copy per snapshot that is followed by a
+//! write. [`ContextStore::poll`] binary-searches the version-sorted change
+//! history, so it costs O(log history + new changes).
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -45,11 +57,32 @@ impl fmt::Display for ContextChange {
 
 /// An immutable snapshot of the store at a particular version, handed to policy
 /// condition evaluation so a whole rule set sees a consistent view.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// The value map is shared with the store (and with every other snapshot of the
+/// same version) until the store's next write; cloning a snapshot is a
+/// reference-count bump. Equality compares contents, not storage.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ContextSnapshot {
     version: u64,
     at: Timestamp,
+    values: Arc<BTreeMap<ContextKey, ContextValue>>,
+}
+
+/// The owned form a [`ContextSnapshot`] deserialises through (the vendored
+/// serde has no `Deserialize` for `Arc<BTreeMap<..>>`); same field names, so the
+/// serialised shape is unchanged.
+#[derive(Deserialize)]
+struct SnapshotRepr {
+    version: u64,
+    at: Timestamp,
     values: BTreeMap<ContextKey, ContextValue>,
+}
+
+impl Deserialize for ContextSnapshot {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let SnapshotRepr { version, at, values } = SnapshotRepr::from_value(value)?;
+        Ok(ContextSnapshot { version, at, values: Arc::new(values) })
+    }
 }
 
 impl ContextSnapshot {
@@ -103,14 +136,16 @@ impl ContextSnapshot {
         ContextSnapshot {
             version: 0,
             at: Timestamp::ZERO,
-            values: pairs.into_iter().map(|(k, v)| (k.into(), v.into())).collect(),
+            values: Arc::new(pairs.into_iter().map(|(k, v)| (k.into(), v.into())).collect()),
         }
     }
 }
 
 #[derive(Debug, Default)]
 struct StoreInner {
-    values: BTreeMap<ContextKey, ContextValue>,
+    /// Shared with every live snapshot of the current version; writes go through
+    /// `Arc::make_mut`, which copies only while such a snapshot exists.
+    values: Arc<BTreeMap<ContextKey, ContextValue>>,
     changes: Vec<ContextChange>,
     version: u64,
     next_subscription: u64,
@@ -122,6 +157,14 @@ struct StoreInner {
 }
 
 impl StoreInner {
+    fn snapshot(&self) -> ContextSnapshot {
+        ContextSnapshot {
+            version: self.version,
+            at: self.changes.last().map(|c| c.at).unwrap_or(Timestamp::ZERO),
+            values: Arc::clone(&self.values),
+        }
+    }
+
     /// Drops fully-delivered history beyond the retention bound. Changes are
     /// version-sorted, so the droppable region is a prefix: everything every
     /// subscriber has already polled, excluding the `keep` newest entries (kept
@@ -199,7 +242,7 @@ impl ContextStore {
         let mut inner = self.inner.write();
         inner.version += 1;
         let version = inner.version;
-        let previous = inner.values.insert(key.clone(), value.clone());
+        let previous = Arc::make_mut(&mut inner.values).insert(key.clone(), value.clone());
         inner.changes.push(ContextChange { version, at, key, previous, current: Some(value) });
         inner.compact();
         version
@@ -209,14 +252,16 @@ impl ContextStore {
     /// (unchanged if the key was absent).
     pub fn remove(&self, key: &ContextKey, at: Timestamp) -> u64 {
         let mut inner = self.inner.write();
-        if let Some(previous) = inner.values.remove(key) {
+        // Check before `make_mut`: removing an absent key must not copy a shared map.
+        if inner.values.contains_key(key) {
+            let previous = Arc::make_mut(&mut inner.values).remove(key);
             inner.version += 1;
             let version = inner.version;
             inner.changes.push(ContextChange {
                 version,
                 at,
                 key: key.clone(),
-                previous: Some(previous),
+                previous,
                 current: None,
             });
             inner.compact();
@@ -234,30 +279,21 @@ impl ContextStore {
         self.inner.read().version
     }
 
-    /// Takes a consistent snapshot of the whole store.
+    /// Takes a consistent snapshot of the whole store. Costs a reference-count
+    /// bump: the snapshot shares the store's map, and the store's next write
+    /// copies it (once) while the snapshot is alive.
     pub fn snapshot(&self) -> ContextSnapshot {
-        let inner = self.inner.read();
-        ContextSnapshot {
-            version: inner.version,
-            at: inner.changes.last().map(|c| c.at).unwrap_or(Timestamp::ZERO),
-            values: inner.values.clone(),
-        }
+        self.inner.read().snapshot()
     }
 
     /// Takes a snapshot only if the store has moved past `seen_version`, under a
     /// single read-lock acquisition. Hot loops that keep a cached snapshot (e.g. a
-    /// dataplane shard's enforcement view) use this to refresh per batch without
-    /// cloning the value map when nothing changed.
+    /// dataplane shard's enforcement view) use this to refresh per batch; it never
+    /// clones the map, and returning `None` when nothing changed saves replacing
+    /// a snapshot with an identical one.
     pub fn snapshot_if_newer(&self, seen_version: u64) -> Option<ContextSnapshot> {
         let inner = self.inner.read();
-        if inner.version == seen_version {
-            return None;
-        }
-        Some(ContextSnapshot {
-            version: inner.version,
-            at: inner.changes.last().map(|c| c.at).unwrap_or(Timestamp::ZERO),
-            values: inner.values.clone(),
-        })
+        (inner.version != seen_version).then(|| inner.snapshot())
     }
 
     /// Registers a subscriber; its cursor starts at the current version, so it will
@@ -282,12 +318,14 @@ impl ContextStore {
         inner.compact();
     }
 
-    /// Returns (and consumes) the changes a subscriber has not yet seen.
+    /// Returns (and consumes) the changes a subscriber has not yet seen. The start
+    /// is found by binary search over the version-sorted history, so a poll costs
+    /// O(log history + changes returned).
     pub fn poll(&self, id: SubscriptionId) -> Vec<ContextChange> {
         let mut inner = self.inner.write();
         let cursor = inner.cursors.get(&id).copied().unwrap_or(0);
-        let fresh: Vec<ContextChange> =
-            inner.changes.iter().filter(|c| c.version > cursor).cloned().collect();
+        let start = inner.changes.partition_point(|c| c.version <= cursor);
+        let fresh = inner.changes[start..].to_vec();
         let newest = inner.version;
         inner.cursors.insert(id, newest);
         inner.compact();
@@ -344,7 +382,29 @@ mod tests {
         assert_eq!(snap.version(), 1);
         assert!(store.snapshot_if_newer(1).is_none());
         store.set("a", 2i64, Timestamp(2));
-        assert_eq!(store.snapshot_if_newer(1).unwrap().version(), 2);
+        let fresh = store.snapshot_if_newer(1).unwrap();
+        assert_eq!(fresh.version(), 2);
+        // A refresh shares the store's map instead of copying it.
+        let again = store.snapshot();
+        assert!(std::ptr::eq(fresh.get_name("a").unwrap(), again.get_name("a").unwrap()));
+    }
+
+    #[test]
+    fn snapshot_serde_shape_round_trips() {
+        use serde::Serialize;
+        let store = ContextStore::new();
+        store.set("a", 1i64, Timestamp(1));
+        store.set("b", "x", Timestamp(2));
+        let snap = store.snapshot();
+        let value = snap.to_value();
+        let object = value.as_object().expect("a snapshot serialises as an object");
+        assert_eq!(object.get("version").and_then(serde::Value::as_u64), Some(2));
+        let values = BTreeMap::from([
+            (ContextKey::new("a"), ContextValue::Integer(1)),
+            (ContextKey::new("b"), ContextValue::Text("x".into())),
+        ]);
+        assert_eq!(object.get("values"), Some(&values.to_value()));
+        assert_eq!(ContextSnapshot::from_value(&value).unwrap(), snap);
     }
 
     #[test]
@@ -457,7 +517,120 @@ mod tests {
         assert_eq!(keys, vec!["a", "b"]);
     }
 
+    /// One step of the store model test: `(op, key, value)`, decoded by
+    /// [`apply_model_step`].
+    type ModelStep = (u8, u8, i64);
+
+    /// A change as the model records it: `(version, key, previous, current)`.
+    type ModelChange = (u64, String, Option<ContextValue>, Option<ContextValue>);
+
+    fn model_change(change: &ContextChange) -> ModelChange {
+        let ContextChange { version, key, previous, current, .. } = change.clone();
+        (version, key.name().to_string(), previous, current)
+    }
+
+    fn snapshot_map(snapshot: &ContextSnapshot) -> BTreeMap<String, ContextValue> {
+        snapshot.iter().map(|(k, v)| (k.name().to_string(), v.clone())).collect()
+    }
+
+    /// Runs `steps` against a real store and a plain-collections model, checking
+    /// after every step that each held snapshot still reads the model's map at
+    /// its version, that polls return exactly the changes after the cursor, and
+    /// that snapshots of one version share storage.
+    fn check_store_model(
+        retention: Option<usize>,
+        steps: &[ModelStep],
+    ) -> Result<(), TestCaseError> {
+        let store = ContextStore::new();
+        store.set_retention(retention);
+        let subscribers = [store.subscribe(), store.subscribe()];
+        let mut cursors = [0u64; 2];
+        let mut model: BTreeMap<String, ContextValue> = BTreeMap::new();
+        let mut changes: Vec<ModelChange> = Vec::new();
+        let mut held: Vec<(ContextSnapshot, BTreeMap<String, ContextValue>)> = Vec::new();
+        for (step, &(op, key, value)) in steps.iter().enumerate() {
+            let at = Timestamp(step as u64);
+            let name = format!("k{}", key % 4);
+            match op % 7 {
+                0 | 1 => {
+                    let value = ContextValue::Integer(value);
+                    let previous = model.insert(name.clone(), value.clone());
+                    let version = store.set(name.as_str(), value.clone(), at);
+                    changes.push((version, name, previous, Some(value)));
+                }
+                2 => {
+                    // Remove a present key when there is one.
+                    let victim = model.keys().nth(key as usize % model.len().max(1)).cloned();
+                    if let Some(victim) = victim {
+                        let previous = model.remove(&victim);
+                        let version = store.remove(&ContextKey::new(victim.as_str()), at);
+                        changes.push((version, victim, previous, None));
+                    }
+                }
+                3 => {
+                    // Remove a key that is never set: no version bump, no change.
+                    let before = store.version();
+                    prop_assert_eq!(store.remove(&ContextKey::new("absent"), at), before);
+                }
+                4 => {
+                    let snapshot = store.snapshot();
+                    prop_assert_eq!(snapshot.version(), store.version());
+                    if let Some((last, _)) = held.last() {
+                        if last.version() == snapshot.version() {
+                            for (k, v) in snapshot.iter() {
+                                prop_assert!(
+                                    std::ptr::eq(v, last.get(k).unwrap()),
+                                    "snapshots of version {} do not share {k}",
+                                    snapshot.version()
+                                );
+                            }
+                        }
+                    }
+                    held.push((snapshot, model.clone()));
+                    if held.len() > 4 {
+                        held.remove(0);
+                    }
+                }
+                _ => {
+                    let which = usize::from(op % 7 == 6);
+                    let got: Vec<ModelChange> =
+                        store.poll(subscribers[which]).iter().map(model_change).collect();
+                    let expected: Vec<ModelChange> =
+                        changes.iter().filter(|c| c.0 > cursors[which]).cloned().collect();
+                    prop_assert_eq!(got, expected);
+                    cursors[which] = store.version();
+                }
+            }
+            prop_assert_eq!(store.version(), changes.len() as u64);
+            for (snapshot, expected) in &held {
+                prop_assert_eq!(&snapshot_map(snapshot), expected);
+            }
+            // History is always a suffix of every change made.
+            let history: Vec<ModelChange> = store.history().iter().map(model_change).collect();
+            prop_assert!(changes.ends_with(&history), "history is not a suffix of the changes");
+        }
+        Ok(())
+    }
+
     proptest! {
+        /// Model test: snapshots, polls and sharing under random operations,
+        /// with an unbounded change history.
+        #[test]
+        fn prop_store_matches_model(
+            steps in proptest::collection::vec((0u8..7, 0u8..8, 0i64..100), 1..60),
+        ) {
+            check_store_model(None, &steps)?;
+        }
+
+        /// The same model test with a retention bound compacting the history.
+        #[test]
+        fn prop_store_matches_model_with_retention(
+            keep in 0usize..4,
+            steps in proptest::collection::vec((0u8..7, 0u8..8, 0i64..100), 1..60),
+        ) {
+            check_store_model(Some(keep), &steps)?;
+        }
+
         /// The version equals the number of effective changes, and history length matches.
         #[test]
         fn prop_version_counts_changes(keys in proptest::collection::vec("[a-c]", 1..20)) {

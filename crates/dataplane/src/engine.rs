@@ -267,7 +267,7 @@ impl fmt::Display for DataplaneError {
 impl std::error::Error for DataplaneError {}
 
 /// A registered endpoint: its component (context, principal, isolation), its shard, its
-/// current stable context hash, and its subscribers.
+/// current stable context hash, its subscribers and the publishers it subscribes to.
 #[derive(Debug)]
 pub(crate) struct Endpoint {
     pub component: Component,
@@ -277,6 +277,9 @@ pub(crate) struct Endpoint {
     /// Behind an `Arc` so `publish` can snapshot the fan-out with one refcount bump
     /// instead of cloning the list on every message.
     pub subscribers: Arc<Vec<(Arc<str>, usize)>>,
+    /// The publishers whose `subscribers` list names this endpoint — the reverse
+    /// edges, so [`Dataplane::deregister`] edits only its neighbours.
+    pub subscriptions: Vec<Arc<str>>,
     /// Newest delivered (post-quench) messages, kept only when
     /// [`DataplaneConfig::retain_deliveries`] is non-zero. Interior mutability so the
     /// shard can append under the directory *read* lock.
@@ -618,6 +621,7 @@ impl Dataplane {
                 context_hash,
                 shard,
                 subscribers: Arc::new(Vec::new()),
+                subscriptions: Vec::new(),
                 inbox: parking_lot::Mutex::new(std::collections::VecDeque::new()),
                 mailbox: None,
             },
@@ -666,6 +670,7 @@ impl Dataplane {
                     context_hash,
                     shard,
                     subscribers: Arc::new(Vec::new()),
+                    subscriptions: Vec::new(),
                     inbox: parking_lot::Mutex::new(std::collections::VecDeque::new()),
                     mailbox: None,
                 },
@@ -768,6 +773,10 @@ impl Dataplane {
     /// or from it are dropped (counted as `missing_endpoint`), and its streaming
     /// receiver, if open, is closed (consumers drain the backlog, then observe
     /// `Disconnected`).
+    ///
+    /// Costs O(the endpoint's subscriptions and subscribers), not O(directory):
+    /// only the publishers it subscribes to and the subscribers it publishes to
+    /// are edited.
     pub fn deregister(&self, name: &str) -> Result<(), DataplaneError> {
         let mut directory = self.shared.directory.write();
         let Some(endpoint) = directory.endpoints.remove(name) else {
@@ -776,9 +785,16 @@ impl Dataplane {
         if let Some(mailbox) = &endpoint.mailbox {
             mailbox.close();
         }
-        for endpoint in directory.endpoints.values_mut() {
-            if endpoint.subscribers.iter().any(|(sub, _)| &**sub == name) {
-                Arc::make_mut(&mut endpoint.subscribers).retain(|(sub, _)| &**sub != name);
+        // Every other neighbour is registered (the edges are kept symmetric); a
+        // self-subscription names the endpoint just removed, and the lookup skips it.
+        for publisher in &endpoint.subscriptions {
+            if let Some(publisher) = directory.endpoints.get_mut(publisher) {
+                Arc::make_mut(&mut publisher.subscribers).retain(|(sub, _)| &**sub != name);
+            }
+        }
+        for (subscriber, _) in endpoint.subscribers.iter() {
+            if let Some(subscriber) = directory.endpoints.get_mut(subscriber) {
+                subscriber.subscriptions.retain(|publisher| &**publisher != name);
             }
         }
         Ok(())
@@ -860,6 +876,8 @@ impl Dataplane {
         };
         let admitted = outcome.is_delivered();
         if admitted {
+            let publisher_key =
+                Arc::clone(directory.endpoints.get_key_value(publisher).expect("checked above").0);
             let publisher_endpoint = directory.endpoints.get_mut(publisher).expect("checked above");
             if !publisher_endpoint
                 .subscribers
@@ -867,7 +885,13 @@ impl Dataplane {
                 .any(|(existing, _)| *existing == subscriber_key)
             {
                 Arc::make_mut(&mut publisher_endpoint.subscribers)
-                    .push((subscriber_key, subscriber_shard));
+                    .push((Arc::clone(&subscriber_key), subscriber_shard));
+                directory
+                    .endpoints
+                    .get_mut(&subscriber_key)
+                    .expect("checked above")
+                    .subscriptions
+                    .push(publisher_key);
             }
         }
         directory.control_audit.append(
@@ -896,6 +920,9 @@ impl Dataplane {
             .get_mut(publisher)
             .ok_or_else(|| DataplaneError::UnknownEndpoint { name: publisher.to_string() })?;
         Arc::make_mut(&mut endpoint.subscribers).retain(|(sub, _)| &**sub != subscriber);
+        if let Some(endpoint) = directory.endpoints.get_mut(subscriber) {
+            endpoint.subscriptions.retain(|existing| &**existing != publisher);
+        }
         Ok(())
     }
 
@@ -1332,6 +1359,11 @@ impl Dataplane {
 
 impl Drop for Dataplane {
     fn drop(&mut self) {
+        // Release the control-plane admission cache's store cursor on every exit
+        // path (`shutdown()` ends here too): an external store that outlives the
+        // engine would otherwise keep a dead cursor pinning its history. The shard
+        // workers release their own cursors on exit.
+        self.shared.directory.write().admission_cache.detach(&self.shared.context_store);
         // Shut workers down if `shutdown()` was never called, so threads never leak.
         if self.workers.is_empty() {
             return;

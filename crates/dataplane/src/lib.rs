@@ -305,6 +305,20 @@ mod tests {
         );
     }
 
+    /// A dataplane that is gone leaves no store cursor behind, on either exit
+    /// path: an external store with retention stays bounded afterwards.
+    #[test]
+    fn stopped_dataplane_releases_its_store_cursors() {
+        let store = Arc::new(legaliot_context::ContextStore::with_retention(4));
+        let config = DataplaneConfig { shards: 2, ..DataplaneConfig::default() };
+        Dataplane::with_context_store("shut-down", config.clone(), Arc::clone(&store)).shutdown();
+        drop(Dataplane::with_context_store("dropped", config, Arc::clone(&store)));
+        for i in 0..100u64 {
+            store.set("k", i as i64, Timestamp(i));
+        }
+        assert!(store.history().len() <= 4, "history grew to {}", store.history().len());
+    }
+
     #[test]
     fn full_audit_records_every_message() {
         let config = DataplaneConfig {

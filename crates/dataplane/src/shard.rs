@@ -658,7 +658,10 @@ fn run_batch(
         };
         // Payload deliveries evaluate contextual AC: invalidate AC entries whose
         // keys changed, then refresh the enforcement-time context view, once per
-        // batch (no-op version checks when the store has not moved). The order is
+        // batch (no-op version checks when the store has not moved). A refresh
+        // shares the store's map, so it is a refcount bump; the cost moves to the
+        // store's next write, which copies the map once while this view holds it
+        // (see the cost model in `legaliot_context::store`). The order is
         // load-bearing: sync consumes the subscription's change feed, so it must
         // run *before* the snapshot refresh — a write landing in between is then
         // seen by the snapshot but not yet consumed, and the next sync
